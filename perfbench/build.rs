@@ -1,0 +1,24 @@
+//! Records the build fingerprint (compiler version and codegen flags) so
+//! every benchmark output says which build produced it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(&rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    // The flags cargo actually compiles with: `.cargo/config.toml`'s
+    // `target-cpu=native`, or whatever RUSTFLAGS overrides it with.
+    let flags = std::env::var("CARGO_ENCODED_RUSTFLAGS")
+        .unwrap_or_default()
+        .replace('\u{1f}', " ");
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=PERFBENCH_RUSTFLAGS={flags}");
+    println!("cargo:rerun-if-env-changed=CARGO_ENCODED_RUSTFLAGS");
+    println!("cargo:rerun-if-env-changed=RUSTC");
+}
