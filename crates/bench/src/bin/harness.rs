@@ -31,14 +31,15 @@
 //! parallelism. The figures are identical at any worker count — only the
 //! wall-clock changes.
 //!
-//! Figure subcommands memoize finished cells in `CACHE_cells.json`,
-//! keyed by a content hash of the full cell specification (config +
-//! workload parameters + crate version), so re-running an unchanged
-//! figure skips its simulations and prints byte-identical output. They
-//! also keep post-setup machine snapshots in `CACHE_snapshots/`, keyed
-//! by the setup-only parameter subset, so cells that miss the cell
-//! cache still warm-start past their setup phase. `--no-cache` disables
-//! both; deleting the files invalidates them.
+//! Figure subcommands memoize their work in the result store `CACHE/`:
+//! finished cells (`<key>.cell`, keyed by the full cell specification)
+//! and post-setup machine snapshots (`<key>.snap`, keyed by the
+//! setup-only parameter subset), so re-running an unchanged figure skips
+//! its simulations and a cell that misses still warm-starts past its
+//! setup. Every key includes the build's behaviour fingerprint, so a
+//! rebuilt simulator never sees an older build's objects. Output is
+//! byte-identical either way; `--no-cache` disables the store and
+//! `rm -rf CACHE/` empties it.
 
 #![forbid(unsafe_code)]
 
@@ -46,6 +47,7 @@ use std::time::{Duration, Instant};
 
 use fsencr_bench as exp;
 use fsencr_bench::jsonio::Json;
+use fsencr_bench::store::Kind;
 use fsencr::controller::{CtrlMode, MemoryController};
 use fsencr::machine::{Machine, MachineOpts, SecurityMode};
 use fsencr_bench::report::{
@@ -56,14 +58,15 @@ use fsencr_crypto::{
     ctr_pads_n, digest8_line, digest8_lines4, line_pad, line_pad_with, sha256, sha256_line,
     Aes128, Key128, PadDomain, PadInput,
 };
+use fsencr_fs::{GroupId, Mode, UserId};
 use fsencr_nvm::{LineAddr, NvmDevice, PageId, PhysAddr};
 use fsencr_secmem::{MetadataLayout, MetadataSystem};
 use fsencr_sim::config::{CacheConfig, NvmConfig, SecurityConfig};
-use fsencr_sim::{Cycle, MachineConfig};
+use fsencr_sim::{Cycle, MachineConfig, SplitMix64};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness [--jobs N] [--no-cache] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|bench|bench-check|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\nFigure subcommands reuse cached cell results from CACHE_cells.json and\npost-setup machine snapshots from CACHE_snapshots/ (both\ncontent-addressed; output is byte-identical either way). `--no-cache`\ndisables both; deleting the files invalidates them.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring."
+        "usage: harness [--jobs N] [--no-cache] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|bench|bench-check|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\nFigure subcommands reuse cell results and post-setup machine snapshots\nfrom the result store CACHE/ (content-addressed and keyed by the build;\noutput is byte-identical either way). `--no-cache` disables it;\n`rm -rf CACHE/` empties it.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring."
     );
     std::process::exit(2);
 }
@@ -246,12 +249,14 @@ fn meta_throughput() -> MetaThroughput {
     const LINES: u64 = 32;
     let build = |memo: bool| -> (MetadataSystem, NvmDevice, Cycle) {
         let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64, // 64 lines
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
+        let cfg = SecurityConfig {
+            metadata_cache: CacheConfig {
+                size_bytes: 64 * 64, // 64 lines
+                ways: 8,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            ..SecurityConfig::default()
         };
         let mut sys = MetadataSystem::new(layout, &cfg);
         sys.set_digest_memo_enabled(memo);
@@ -500,12 +505,14 @@ fn merkle_throughput() -> MerkleThroughput {
     // ancestors — the redundancy the batch planner removes.
     let build = |cache_lines: usize| -> (MetadataSystem, NvmDevice, Vec<LineAddr>, Cycle) {
         let layout = MetadataLayout::new(REGION * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: cache_lines * 64,
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
+        let cfg = SecurityConfig {
+            metadata_cache: CacheConfig {
+                size_bytes: cache_lines * 64,
+                ways: 8,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            ..SecurityConfig::default()
         };
         let mut sys = MetadataSystem::new(layout, &cfg);
         let mut nvm = NvmDevice::new(NvmConfig::default());
@@ -584,6 +591,33 @@ fn merkle_throughput() -> MerkleThroughput {
     }
 }
 
+/// The reference setup behind `harness snapshot save` and the snapshot
+/// self-benchmark: one encrypted file of `pages` seeded-random pages,
+/// mapped, with every page written and persisted.
+fn snapshot_fixture(
+    seed: u64,
+    pages: u64,
+    opts: MachineOpts,
+    mode: SecurityMode,
+) -> Result<Machine, fsencr::machine::MachineError> {
+    const PAGE: u64 = 4096;
+    let mut m = Machine::new(opts, mode);
+    // The file name is part of the saved image: changing it changes the
+    // bytes `snapshot save` writes.
+    let h = m.create(UserId::new(1), GroupId::new(1), "epochs.bin", Mode::PRIVATE, Some("pw"))?;
+    let map = m.mmap(&h)?;
+    let mut rng = SplitMix64::new(seed ^ 0xEF0C);
+    let mut page = vec![0u8; PAGE as usize];
+    for p in 0..pages {
+        for b in page.iter_mut() {
+            *b = rng.next_u64() as u8;
+        }
+        m.write(0, map, p * PAGE, &page)?;
+        m.persist(0, map, p * PAGE, PAGE)?;
+    }
+    Ok(m)
+}
+
 /// Measures the warm-start win: simulating a representative setup phase
 /// (a fully initialised and persisted 512 KiB encrypted file) against
 /// restoring the identical machine from its `fsencr-snap/1` image. Both
@@ -591,14 +625,13 @@ fn merkle_throughput() -> MerkleThroughput {
 /// bit-identical (round-trip theorem), so the gap is pure saved
 /// simulation.
 fn snapshot_throughput() -> SnapshotThroughput {
-    let stream = exp::epochs::EpochStream { seed: 0x57AB, file_pages: 128, ops: 0 };
     let opts = MachineOpts::small_test();
     let mode = SecurityMode::FsEncr;
     let mut cold = Duration::MAX;
     let mut bytes = Vec::new();
     for _ in 0..3 {
         let t = Instant::now();
-        let (m, _) = stream.build(opts, mode).expect("snapshot bench setup");
+        let m = snapshot_fixture(0x57AB, 128, opts, mode).expect("snapshot bench setup");
         cold = cold.min(t.elapsed());
         bytes = m.save_snapshot().expect("no injector armed during setup");
     }
@@ -954,9 +987,8 @@ fn snapshot_cmd(args: &[String]) {
     let opts = MachineOpts::small_test();
     match verb {
         "save" => {
-            let stream = exp::epochs::EpochStream { seed, file_pages: pages, ops: 0 };
             let t0 = Instant::now();
-            let (m, _) = stream.build(opts, mode).unwrap_or_else(|e| {
+            let m = snapshot_fixture(seed, pages, opts, mode).unwrap_or_else(|e| {
                 eprintln!("[snapshot] setup failed: {e}");
                 std::process::exit(1);
             });
@@ -1097,7 +1129,7 @@ fn main() {
     let scale = scale_arg.unwrap_or(1.0);
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
 
-    // The cell cache serves figure subcommands only. `bench` and
+    // The result store serves figure subcommands only. `bench` and
     // `profile` keep it disabled: `bench` times the simulation engine (a
     // warm cache would skip the very work being measured) and `profile`
     // needs the observer to actually run.
@@ -1109,8 +1141,7 @@ fn main() {
     );
     let use_cache = cacheable && !no_cache;
     if use_cache {
-        exp::cellcache::configure(Some(std::path::PathBuf::from("CACHE_cells.json")));
-        exp::snapstore::configure(Some(std::path::PathBuf::from("CACHE_snapshots")));
+        exp::store::configure(Some(std::path::PathBuf::from("CACHE")));
     }
 
     let t0 = std::time::Instant::now();
@@ -1159,20 +1190,12 @@ fn main() {
         _ => usage(),
     }
     if use_cache {
-        let (hits, misses) = exp::cellcache::counters();
-        if let Err(e) = exp::cellcache::persist() {
-            eprintln!("[cache] warning: {e}");
-        }
+        let (cells, setups) = (exp::store::counts(Kind::Cell), exp::store::counts(Kind::Setup));
         eprintln!(
-            "[cache] {hits} hits, {misses} misses ({} cells in CACHE_cells.json)",
-            exp::cellcache::len()
+            "[store] cells {} hit / {} miss; setups {} warm / {} cold / {} stored",
+            cells.hits, cells.misses, setups.hits, setups.misses, setups.puts
         );
-        exp::cellcache::configure(None);
-        let (shits, smisses, sstores) = exp::snapstore::counters();
-        eprintln!(
-            "[snapstore] {shits} warm starts, {smisses} cold setups, {sstores} snapshots stored"
-        );
-        exp::snapstore::configure(None);
+        exp::store::configure(None);
     }
     eprintln!("[harness] completed in {:.1?}", t0.elapsed());
 }

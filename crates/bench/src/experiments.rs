@@ -19,10 +19,9 @@ use fsencr_workloads::driver::{run_workload, run_workload_warm, Workload};
 use fsencr_workloads::pmemkv::{DbBench, PmemKv};
 use fsencr_workloads::whisper::{CtreeBench, HashmapBench, Ycsb};
 
-use crate::cellcache;
 use crate::pool;
 use crate::report;
-use crate::snapstore;
+use crate::store::{self, Kind};
 use crate::table::Figure;
 
 use fsencr::machine::Machine;
@@ -56,43 +55,43 @@ struct Cell<'a> {
 /// Runs every cell (concurrently when the pool has more than one worker)
 /// and returns the stats in the cells' submission order.
 ///
-/// When the [`cellcache`] is enabled, a cell whose content-addressed key
-/// is already cached returns the stored (bit-identical) stats and skips
-/// both the simulation and the `harness bench` wall-clock record — the
-/// record would time a lookup, not the engine. Fresh results are stored
-/// back; the harness persists the cache after the figure completes.
-///
-/// When the [`snapstore`] is enabled, a cell that misses the cell cache
-/// still tries to restore its post-setup machine image (keyed by
+/// When the [`store`] is enabled, a cell whose result object is already
+/// stored returns the stored (bit-identical) stats and skips both the
+/// simulation and the `harness bench` wall-clock record — the record
+/// would time a lookup, not the engine. A cell that misses still tries
+/// to restore its post-setup machine image (keyed by
 /// [`Workload::setup_spec`]) and skip the simulated setup; a cold setup
-/// by a warm-start-capable workload deposits a fresh snapshot for later
-/// cells and runs. Warm and cold paths measure bit-identically (see the
-/// `warm_start` suite), so figure bytes never depend on the store.
+/// by a warm-start-capable workload deposits a fresh image for later
+/// cells. Warm and cold paths measure bit-identically (see the
+/// `warm_start` suite), so figure bytes never depend on the store. With
+/// the store disabled a cell only simulates: no key, no snapshot.
 fn run_cells(cells: Vec<Cell<'_>>) -> Vec<RunStats> {
     let tasks: Vec<_> = cells
         .into_iter()
         .map(|cell| {
             move || {
                 let mut workload = (cell.factory)();
-                let key = cellcache::cell_key(
+                if !store::is_enabled() {
+                    let start = Instant::now();
+                    let stats = run_with(cell.opts, cell.mode, workload.as_mut());
+                    report::record_cell(&cell.label, cell.mode, start.elapsed(), &stats);
+                    return stats;
+                }
+                let key = store::key(
+                    Kind::Cell,
                     &cell.label,
                     cell.mode,
                     &cell.opts,
                     &workload.spec(),
                 );
-                if let Some(stats) = cellcache::lookup(&key) {
-                    return stats;
-                }
-                if !snapstore::is_enabled() {
-                    let start = Instant::now();
-                    let stats = run_with(cell.opts, cell.mode, workload.as_mut());
-                    report::record_cell(&cell.label, cell.mode, start.elapsed(), &stats);
-                    cellcache::store(&key, &stats);
+                if let Some(stats) =
+                    store::get(Kind::Cell, &key).and_then(|bytes| store::decode_stats(&bytes))
+                {
                     return stats;
                 }
                 let skey =
-                    snapstore::snap_key(cell.mode, &cell.opts, &workload.setup_spec());
-                let snap = snapstore::lookup(&skey);
+                    store::key(Kind::Setup, "", cell.mode, &cell.opts, &workload.setup_spec());
+                let snap = store::get(Kind::Setup, &skey);
                 let start = Instant::now();
                 let warm =
                     run_workload_warm(cell.opts, cell.mode, workload.as_mut(), snap.as_deref())
@@ -102,9 +101,9 @@ fn run_cells(cells: Vec<Cell<'_>>) -> Vec<RunStats> {
                 let stats = warm.result.stats;
                 report::record_cell(&cell.label, cell.mode, start.elapsed(), &stats);
                 if let Some(bytes) = warm.snapshot {
-                    snapstore::store(&skey, &bytes);
+                    store::put(Kind::Setup, &skey, &bytes);
                 }
-                cellcache::store(&key, &stats);
+                store::put(Kind::Cell, &key, &store::encode_stats(&stats));
                 stats
             }
         })
@@ -724,6 +723,42 @@ mod tests {
         assert_eq!(fig.value("+ single fs key revealed", "System C"), Some(0.0));
         // Row 3: everything falls.
         assert_eq!(fig.value("+ all file keys revealed", "System C"), Some(1.0));
+    }
+
+    /// A build with different sources salts its keys differently: an
+    /// object stored under salt A is a miss under salt B, so the cell is
+    /// simulated again and stored under its new key.
+    #[test]
+    fn fingerprint_mismatch_forces_resimulation() {
+        let _guard = store::TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let dir = std::env::temp_dir().join(format!("fsencr-store-salt-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let factory: Factory =
+            Box::new(|| Box::new(DaxStride::new(128, 64 << 10, 256)) as Box<dyn Workload>);
+        let (opts, mode) = (MachineOpts::small_test(), SecurityMode::FsEncr);
+        let spec = factory().spec();
+        // (key, object before the run, simulated stats, object after it)
+        let run_under = |salt: &str| {
+            store::configure_salted(Some(dir.clone()), salt);
+            let key = store::key(Kind::Cell, "probe", mode, &opts, &spec);
+            let before = std::fs::read(dir.join(format!("{key}.cell"))).ok();
+            let cell = Cell { label: "probe".to_string(), opts, mode, factory: &factory };
+            let stats = run_cells(vec![cell])[0];
+            let after = std::fs::read(dir.join(format!("{key}.cell"))).ok();
+            (key, before, store::encode_stats(&stats), after)
+        };
+        let (key_a, before_a, stats_a, after_a) = run_under("salt-A");
+        assert!(before_a.is_none(), "a fresh store holds nothing");
+        assert_eq!(after_a.as_ref(), Some(&stats_a), "the simulated cell is stored");
+        let (key_b, before_b, stats_b, after_b) = run_under("salt-B");
+        assert_ne!(key_a, key_b);
+        assert!(before_b.is_none(), "an object put under salt A is a miss under salt B");
+        assert_eq!(store::counts(Kind::Cell).hits, 0, "salt B never served salt A's object");
+        assert_eq!(after_b.as_ref(), Some(&stats_b), "the re-simulated cell is re-stored");
+        assert_eq!(stats_a, stats_b, "re-simulation reproduces the result bit for bit");
+        assert!(dir.join(format!("{key_a}.cell")).is_file(), "salt A's object is orphaned");
+        store::configure(None);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

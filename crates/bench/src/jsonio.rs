@@ -1,25 +1,21 @@
-//! Minimal JSON reader for the harness's own on-disk artifacts.
+//! Minimal JSON reader for the harness's own bench report.
 //!
-//! The workspace is offline (no serde), and the harness both writes and
-//! re-reads two JSON files: the content-addressed cell cache
-//! (`CACHE_cells.json`) and the bench report (`BENCH_harness.json`,
-//! schema-checked by `harness bench-check`). This parser covers exactly
-//! the JSON those writers emit — objects, arrays, strings with `\`
-//! escapes, numbers, booleans, null — and keeps numbers as their source
-//! text so 64-bit integers (e.g. `f64::to_bits` round-trips) survive
-//! without a lossy trip through `f64`.
+//! The workspace is offline (no serde), and `harness bench-check`
+//! re-reads the `BENCH_harness.json` that `harness bench` writes. This
+//! parser covers exactly the JSON that writer emits — objects, arrays,
+//! strings with `\` escapes, numbers, booleans, null.
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value. Numbers keep their raw text; convert on demand.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, unparsed (lossless for 64-bit integers).
-    Num(String),
+    /// A number.
+    Num(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -61,18 +57,10 @@ impl Json {
         }
     }
 
-    /// The number parsed as `u64`, if this is an integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number parsed as `f64`, if this is a number.
+    /// The number, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(s) => s.parse().ok(),
+            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -81,14 +69,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
             _ => None,
         }
     }
@@ -143,9 +123,8 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Err(format!("expected a value at byte {start}"));
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    // Validate: must parse as f64 at minimum.
-    text.parse::<f64>().map_err(|e| format!("bad number {text:?}: {e}"))?;
-    Ok(Json::Num(text.to_string()))
+    let n = text.parse::<f64>().map_err(|e| format!("bad number {text:?}: {e}"))?;
+    Ok(Json::Num(n))
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -260,19 +239,11 @@ mod tests {
             r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\"y", "d": true}, "e": null}"#,
         )
         .unwrap();
-        assert_eq!(j.get("a").unwrap().as_arr().unwrap().len(), 3);
+        let a = j.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(a.iter().map(|n| n.as_f64().unwrap()).collect::<Vec<_>>(), [1.0, 2.5, -300.0]);
         assert_eq!(j.get("b").unwrap().get("c").unwrap().as_str(), Some("x\"y"));
         assert_eq!(j.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
         assert_eq!(j.get("e"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn u64_numbers_round_trip_losslessly() {
-        // f64::to_bits values exceed f64's exact integer range; the raw
-        // text must survive.
-        let big = u64::MAX - 1;
-        let j = Json::parse(&format!("{{\"bits\": {big}}}")).unwrap();
-        assert_eq!(j.get("bits").unwrap().as_u64(), Some(big));
     }
 
     #[test]

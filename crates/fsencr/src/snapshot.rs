@@ -121,8 +121,8 @@ impl StatsSnapshot {
     }
 
     /// Accumulates `other` into `self`, field by field, including the
-    /// read-latency histogram. Used by epoch replay to stitch per-epoch
-    /// window deltas back into one figure-equivalent measurement.
+    /// read-latency histogram, so several measurement windows sum into
+    /// one.
     pub fn merge(&mut self, other: &StatsSnapshot) {
         for (slot, v) in field_slots(self).into_iter().zip(field_values(other)) {
             *slot = slot.saturating_add(v);
@@ -290,21 +290,25 @@ mod tests {
 
     #[test]
     fn delta_saturates_on_mismatched_baseline() {
-        let mut stale = StatsSnapshot::default();
-        stale.reads = 100;
+        let stale = StatsSnapshot {
+            reads: 100,
+            ..StatsSnapshot::default()
+        };
         let fresh = StatsSnapshot::default();
         assert_eq!(fresh.delta(&stale).reads, 0);
     }
 
     #[test]
     fn rates_follow_the_window() {
-        let mut s = StatsSnapshot::default();
-        s.meta_cache_hits = 3;
-        s.meta_cache_misses = 1;
-        s.ott_hits = 1;
-        s.ott_misses = 1;
-        s.tlb_hits = 9;
-        s.tlb_misses = 1;
+        let s = StatsSnapshot {
+            meta_cache_hits: 3,
+            meta_cache_misses: 1,
+            ott_hits: 1,
+            ott_misses: 1,
+            tlb_hits: 9,
+            tlb_misses: 1,
+            ..StatsSnapshot::default()
+        };
         assert_eq!(s.meta_hit_rate(), 0.75);
         assert_eq!(s.ott_hit_rate(), 0.5);
         assert_eq!(s.tlb_hit_rate(), 0.9);

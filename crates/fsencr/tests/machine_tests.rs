@@ -476,7 +476,7 @@ fn trace_records_lifecycle_in_order() {
     m.recover();
 
     let kinds: Vec<_> = m.trace().iter().map(|e| e.kind).collect();
-    let pos = |pred: &dyn Fn(&TraceKind) -> bool| kinds.iter().position(|k| pred(k));
+    let pos = |pred: &dyn Fn(&TraceKind) -> bool| kinds.iter().position(pred);
     let install = pos(&|k| matches!(k, TraceKind::KeyInstall { .. })).expect("install");
     let fault = pos(&|k| matches!(k, TraceKind::PageFault { .. })).expect("fault");
     let shred = pos(&|k| matches!(k, TraceKind::Shred { .. })).expect("shred");

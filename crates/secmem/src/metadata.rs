@@ -1516,14 +1516,16 @@ mod tests {
 
     fn small_setup() -> (MetadataSystem, NvmDevice) {
         let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64, // 64 lines
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
+        let cfg = SecurityConfig {
+            metadata_cache: CacheConfig {
+                size_bytes: 64 * 64, // 64 lines
+                ways: 8,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            osiris_stop_loss: 4,
+            ..SecurityConfig::default()
         };
-        cfg.osiris_stop_loss = 4;
         let sys = MetadataSystem::new(layout, &cfg);
         let nvm = NvmDevice::new(NvmConfig::default());
         (sys, nvm)
@@ -1699,14 +1701,16 @@ mod tests {
         let mut dec = fsencr_snapshot::Dec::new(&bytes).unwrap();
         dec.begin_section("meta").unwrap();
         let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64,
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
+        let cfg = SecurityConfig {
+            metadata_cache: CacheConfig {
+                size_bytes: 64 * 64,
+                ways: 8,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            osiris_stop_loss: 4,
+            ..SecurityConfig::default()
         };
-        cfg.osiris_stop_loss = 4;
         let mut restored = MetadataSystem::snap_load(layout, &cfg, &mut dec).unwrap();
         dec.end_section().unwrap();
         dec.begin_section("nvm").unwrap();
@@ -2068,13 +2072,15 @@ mod tests {
     #[test]
     fn partitioned_cache_behaves_like_unified() {
         let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.partition_metadata_cache = true;
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64,
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
+        let cfg = SecurityConfig {
+            partition_metadata_cache: true,
+            metadata_cache: CacheConfig {
+                size_bytes: 64 * 64,
+                ways: 8,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            ..SecurityConfig::default()
         };
         let mut sys = MetadataSystem::new(layout, &cfg);
         let mut nvm = NvmDevice::new(NvmConfig::default());

@@ -124,7 +124,7 @@ pub struct WarmRun {
 ///
 /// Restore failures (stale, corrupt, or mismatched bytes) and workloads
 /// without [`Workload::attach`] support silently fall back to the cold
-/// path: the snapshot store is an accelerator, never a dependency.
+/// path: the result store is an accelerator, never a dependency.
 ///
 /// # Errors
 ///
@@ -188,7 +188,7 @@ pub struct ProfiledRun {
     /// Machine-level trace events (page faults, key installs, shreds,
     /// crashes) recorded over the same window.
     pub trace: Vec<fsencr::trace::TraceEvent>,
-    /// Merkle batch-planner telemetry over the whole run: `(plans,
+    /// Merkle batch-planner telemetry over the run phase: `(plans,
     /// digests seeded)` — host-side attribution, cycle-neutral.
     pub plan_stats: (u64, u64),
 }
@@ -213,6 +213,7 @@ pub fn profile_workload(
     let opts = workload.configure(base_opts);
     let mut m = Machine::new(opts, mode);
     workload.setup(&mut m)?;
+    let (plans0, seeded0) = m.controller().batch_plan_stats();
     m.enable_observer(span_capacity);
     if span_capacity > 0 {
         m.enable_trace(span_capacity);
@@ -220,6 +221,7 @@ pub fn profile_workload(
     m.begin_measurement();
     workload.run(&mut m)?;
     m.sync_cores();
+    let (plans, seeded) = m.controller().batch_plan_stats();
     Ok(ProfiledRun {
         result: RunResult {
             workload: workload.name(),
@@ -229,7 +231,7 @@ pub fn profile_workload(
         observer: m.observer().clone(),
         window: m.measurement_snapshot(),
         trace: m.trace(),
-        plan_stats: m.controller().batch_plan_stats(),
+        plan_stats: (plans.saturating_sub(plans0), seeded.saturating_sub(seeded0)),
     })
 }
 
@@ -332,6 +334,32 @@ mod tests {
         // window; the run phase only reads (cache-resident), so at most a
         // few stray metadata write-backs may appear.
         assert!(res.stats.nvm_writes < 64, "{}", res.stats.nvm_writes);
+    }
+
+    /// Region writes in setup only: the planner runs, but outside the
+    /// measured window.
+    struct SetupOnly;
+
+    impl Workload for SetupOnly {
+        fn name(&self) -> String {
+            "setup-only".to_string()
+        }
+        fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {
+            Touch { bytes: 64 << 10 }.setup(m)
+        }
+        fn run(&mut self, _m: &mut Machine) -> Result<(), MachineError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn profile_plan_stats_cover_only_the_run_phase() {
+        let opts = MachineOpts::small_test();
+        let mut m = Machine::new(opts, SecurityMode::FsEncr);
+        SetupOnly.setup(&mut m).unwrap();
+        assert!(m.controller().batch_plan_stats().0 > 0, "setup must exercise the planner");
+        let run = profile_workload(opts, SecurityMode::FsEncr, &mut SetupOnly, 0).unwrap();
+        assert_eq!(run.plan_stats, (0, 0));
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn mismatched_snapshot_falls_back_to_cold_setup() {
 
     // Different machine options (seed) => config fingerprint mismatch on
     // restore. (Mismatched *setup* geometry is fenced one layer up: the
-    // snapshot store keys entries by `setup_spec`, so a snapshot for a
+    // result store keys setup objects by `setup_spec`, so a snapshot for a
     // different setup is never offered to the driver.)
     let other_opts = MachineOpts::preset(Preset::SmallTest).seed(0xDEAD).build();
     let mut other = DaxStride::new(16, 1 << 20, 500);
