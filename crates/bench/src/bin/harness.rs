@@ -51,12 +51,12 @@ use fsencr_bench::store::Kind;
 use fsencr::controller::{CtrlMode, MemoryController};
 use fsencr::machine::{Machine, MachineOpts, SecurityMode};
 use fsencr_bench::report::{
-    AesThroughput, BatchThroughput, BenchReport, DigestThroughput, MerkleThroughput,
+    AesThroughput, BatchThroughput, BenchReport, DigestThroughput, EccThroughput, MerkleThroughput,
     MetaThroughput, PadThroughput, SnapshotThroughput,
 };
 use fsencr_crypto::{
-    ctr_pads_n, digest8_line, digest8_lines4, line_pad, line_pad_with, sha256, sha256_line,
-    Aes128, Key128, PadDomain, PadInput,
+    ctr_pads_n, digest8_line, digest8_line_tails4, digest8_lines4, line_pad, line_pad_with, sha256,
+    sha256_line, Aes128, Key128, PadDomain, PadInput,
 };
 use fsencr_fs::{GroupId, Mode, UserId};
 use fsencr_nvm::{LineAddr, NvmDevice, PageId, PhysAddr};
@@ -197,6 +197,56 @@ fn digest_throughput() -> DigestThroughput {
     DigestThroughput {
         line_hashes_per_sec: hashes_per_sec(&|l| sha256_line(l)),
         streaming_hashes_per_sec: hashes_per_sec(&|l| sha256(l)),
+    }
+}
+
+/// Measures Osiris ECC-tag hashing, SHA-256(line ‖ address)[..8]: the
+/// four-lane `digest8_line_tails4` kernel against the same tags through
+/// the streaming hasher. Both sides chain each tag back into its line.
+fn ecc_throughput() -> EccThroughput {
+    let mut lines = [[0u8; 64]; 4];
+    for (i, line) in lines.iter_mut().enumerate() {
+        for (j, byte) in line.iter_mut().enumerate() {
+            *byte = (i as u8)
+                .wrapping_mul(89)
+                .wrapping_add((j as u8).wrapping_mul(7))
+                .wrapping_add(3);
+        }
+    }
+    let addrs = [0x1000u64, 0x1040, 0x1080, 0x10c0];
+    let tags_per_sec = |quad: bool| {
+        let mut lines = lines;
+        let rate = best_of_windows(|budget| {
+            let mut tags = 0u64;
+            let start = Instant::now();
+            while start.elapsed() < budget {
+                for _ in 0..256 {
+                    if quad {
+                        let [l0, l1, l2, l3] = &lines;
+                        let t = digest8_line_tails4([l0, l1, l2, l3], addrs);
+                        for (line, tag) in lines.iter_mut().zip(t) {
+                            line[..8].copy_from_slice(&tag);
+                        }
+                    } else {
+                        for (line, addr) in lines.iter_mut().zip(addrs) {
+                            let mut msg = [0u8; 72];
+                            msg[..64].copy_from_slice(line);
+                            msg[64..].copy_from_slice(&addr.to_le_bytes());
+                            let d = sha256(&msg);
+                            line[..8].copy_from_slice(&d[..8]);
+                        }
+                    }
+                }
+                tags += 4 * 256;
+            }
+            tags as f64 / start.elapsed().as_secs_f64()
+        });
+        std::hint::black_box(lines);
+        rate
+    };
+    EccThroughput {
+        streaming_tags_per_sec: tags_per_sec(false),
+        quad_tags_per_sec: tags_per_sec(true),
     }
 }
 
@@ -735,6 +785,14 @@ fn bench(scale: f64, jobs_flag: Option<usize>) {
         merkle.looped_persists_per_sec,
         merkle.persist_speedup()
     );
+    eprintln!("[bench] Osiris ECC-tag throughput (single thread)...");
+    let ecc = ecc_throughput();
+    eprintln!(
+        "[bench]   tag kernel: 4-lane {:.0} /s, streaming {:.0} /s, speedup {:.2}x",
+        ecc.quad_tags_per_sec,
+        ecc.streaming_tags_per_sec,
+        ecc.speedup()
+    );
     eprintln!("[bench] snapshot restore vs cold setup...");
     let snap = snapshot_throughput();
     eprintln!(
@@ -763,6 +821,7 @@ fn bench(scale: f64, jobs_flag: Option<usize>) {
         meta,
         batch,
         merkle,
+        ecc,
         snap,
         serial_wall,
         parallel_wall,
@@ -791,7 +850,7 @@ fn bench_check(path: &str) {
         .unwrap_or_else(|e| fail(&format!("unreadable: {e}")));
     let json = Json::parse(&text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")));
     match json.get("schema").and_then(Json::as_str) {
-        Some("fsencr-bench-harness/5") => {}
+        Some("fsencr-bench-harness/6") => {}
         other => fail(&format!("schema mismatch: {other:?}")),
     }
     for key in ["host_parallelism", "jobs", "scale"] {
@@ -839,6 +898,7 @@ fn bench_check(path: &str) {
                 "persist_speedup",
             ],
         ),
+        ("ecc", &["streaming_tags_per_sec", "quad_tags_per_sec", "speedup"]),
         (
             "snapshot",
             &["cold_setup_wall_s", "restore_wall_s", "speedup", "snapshot_bytes"],

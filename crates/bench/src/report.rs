@@ -10,7 +10,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "fsencr-bench-harness/5",
+//!   "schema": "fsencr-bench-harness/6",
 //!   "host_parallelism": 4,
 //!   "jobs": 4,
 //!   "scale": 0.05,
@@ -55,6 +55,11 @@
 //!     "batched_persists_per_sec": 3.0e5,
 //!     "looped_persists_per_sec": 2.0e5,
 //!     "persist_speedup": 1.5
+//!   },
+//!   "ecc": {
+//!     "streaming_tags_per_sec": 8.0e5,
+//!     "quad_tags_per_sec": 5.0e6,
+//!     "speedup": 6.25
 //!   },
 //!   "snapshot": {
 //!     "cold_setup_wall_s": 0.8,
@@ -321,6 +326,31 @@ impl MerkleThroughput {
     }
 }
 
+/// Osiris ECC-tag microbenchmark: the tag every line write stores,
+/// SHA-256(plaintext ‖ line address)[..8]. The *quad* side runs the
+/// four-lane [`digest8_line_tails4`](fsencr_crypto::digest8_line_tails4)
+/// kernel `EccStore` hashes its pending quads with; the *streaming* side
+/// computes the same tags through the buffered streaming hasher.
+#[derive(Debug, Clone, Copy)]
+pub struct EccThroughput {
+    /// Streaming `sha256` tags of 72-byte `line ‖ address` messages per
+    /// second.
+    pub streaming_tags_per_sec: f64,
+    /// `digest8_line_tails4` tags per second (four lanes per call).
+    pub quad_tags_per_sec: f64,
+}
+
+impl EccThroughput {
+    /// Four-lane kernel over streaming-hasher speedup.
+    pub fn speedup(&self) -> f64 {
+        if self.streaming_tags_per_sec <= 0.0 {
+            0.0
+        } else {
+            self.quad_tags_per_sec / self.streaming_tags_per_sec
+        }
+    }
+}
+
 /// Snapshot-subsystem microbenchmark: the warm-start win. The *cold*
 /// side simulates a representative setup phase in process; the *restore*
 /// side rebuilds the identical machine from its `fsencr-snap/1` image.
@@ -369,6 +399,8 @@ pub struct BenchReport {
     pub batch: BatchThroughput,
     /// Batched Merkle-engine microbenchmark.
     pub merkle: MerkleThroughput,
+    /// Osiris ECC-tag microbenchmark.
+    pub ecc: EccThroughput,
     /// Snapshot restore-vs-setup microbenchmark.
     pub snap: SnapshotThroughput,
     /// Wall-clock of the serial (`jobs = 1`) engine run.
@@ -408,7 +440,7 @@ impl BenchReport {
             ));
         }
         format!(
-            "{{\n  \"schema\": \"fsencr-bench-harness/5\",\n  \"host_parallelism\": {},\n  \"jobs\": {},\n  \"scale\": {},\n  \"aes\": {{\n    \"ttable_blocks_per_sec\": {},\n    \"reference_blocks_per_sec\": {},\n    \"speedup\": {}\n  }},\n  \"digest\": {{\n    \"line_hashes_per_sec\": {},\n    \"streaming_hashes_per_sec\": {},\n    \"speedup\": {}\n  }},\n  \"pad\": {{\n    \"cached_pads_per_sec\": {},\n    \"uncached_pads_per_sec\": {},\n    \"speedup\": {}\n  }},\n  \"metadata\": {{\n    \"memo_digests_per_sec\": {},\n    \"rehash_digests_per_sec\": {},\n    \"speedup\": {},\n    \"memo_persists_per_sec\": {},\n    \"rehash_persists_per_sec\": {},\n    \"persist_speedup\": {}\n  }},\n  \"batch\": {{\n    \"quad_pads_per_sec\": {},\n    \"single_pads_per_sec\": {},\n    \"pad_speedup\": {},\n    \"batched_reads_per_sec\": {},\n    \"looped_reads_per_sec\": {},\n    \"read_speedup\": {}\n  }},\n  \"merkle\": {{\n    \"lane_digests_per_sec\": {},\n    \"oneshot_digests_per_sec\": {},\n    \"lanes_speedup\": {},\n    \"batched_verifies_per_sec\": {},\n    \"looped_verifies_per_sec\": {},\n    \"verify_speedup\": {},\n    \"batched_persists_per_sec\": {},\n    \"looped_persists_per_sec\": {},\n    \"persist_speedup\": {}\n  }},\n  \"snapshot\": {{\n    \"cold_setup_wall_s\": {},\n    \"restore_wall_s\": {},\n    \"speedup\": {},\n    \"snapshot_bytes\": {}\n  }},\n  \"engine\": {{\n    \"serial_wall_s\": {},\n    \"parallel_wall_s\": {},\n    \"speedup\": {},\n    \"cells\": [\n{}\n    ]\n  }}\n}}\n",
+            "{{\n  \"schema\": \"fsencr-bench-harness/6\",\n  \"host_parallelism\": {},\n  \"jobs\": {},\n  \"scale\": {},\n  \"aes\": {{\n    \"ttable_blocks_per_sec\": {},\n    \"reference_blocks_per_sec\": {},\n    \"speedup\": {}\n  }},\n  \"digest\": {{\n    \"line_hashes_per_sec\": {},\n    \"streaming_hashes_per_sec\": {},\n    \"speedup\": {}\n  }},\n  \"pad\": {{\n    \"cached_pads_per_sec\": {},\n    \"uncached_pads_per_sec\": {},\n    \"speedup\": {}\n  }},\n  \"metadata\": {{\n    \"memo_digests_per_sec\": {},\n    \"rehash_digests_per_sec\": {},\n    \"speedup\": {},\n    \"memo_persists_per_sec\": {},\n    \"rehash_persists_per_sec\": {},\n    \"persist_speedup\": {}\n  }},\n  \"batch\": {{\n    \"quad_pads_per_sec\": {},\n    \"single_pads_per_sec\": {},\n    \"pad_speedup\": {},\n    \"batched_reads_per_sec\": {},\n    \"looped_reads_per_sec\": {},\n    \"read_speedup\": {}\n  }},\n  \"merkle\": {{\n    \"lane_digests_per_sec\": {},\n    \"oneshot_digests_per_sec\": {},\n    \"lanes_speedup\": {},\n    \"batched_verifies_per_sec\": {},\n    \"looped_verifies_per_sec\": {},\n    \"verify_speedup\": {},\n    \"batched_persists_per_sec\": {},\n    \"looped_persists_per_sec\": {},\n    \"persist_speedup\": {}\n  }},\n  \"ecc\": {{\n    \"streaming_tags_per_sec\": {},\n    \"quad_tags_per_sec\": {},\n    \"speedup\": {}\n  }},\n  \"snapshot\": {{\n    \"cold_setup_wall_s\": {},\n    \"restore_wall_s\": {},\n    \"speedup\": {},\n    \"snapshot_bytes\": {}\n  }},\n  \"engine\": {{\n    \"serial_wall_s\": {},\n    \"parallel_wall_s\": {},\n    \"speedup\": {},\n    \"cells\": [\n{}\n    ]\n  }}\n}}\n",
             self.host_parallelism,
             self.jobs,
             json_f64(self.scale),
@@ -442,6 +474,9 @@ impl BenchReport {
             json_f64(self.merkle.batched_persists_per_sec),
             json_f64(self.merkle.looped_persists_per_sec),
             json_f64(self.merkle.persist_speedup()),
+            json_f64(self.ecc.streaming_tags_per_sec),
+            json_f64(self.ecc.quad_tags_per_sec),
+            json_f64(self.ecc.speedup()),
             json_f64(self.snap.cold_setup_wall.as_secs_f64()),
             json_f64(self.snap.restore_wall.as_secs_f64()),
             json_f64(self.snap.speedup()),
@@ -524,6 +559,10 @@ mod tests {
                 batched_persists_per_sec: 3.0e5,
                 looped_persists_per_sec: 2.0e5,
             },
+            ecc: EccThroughput {
+                streaming_tags_per_sec: 1.0e6,
+                quad_tags_per_sec: 6.0e6,
+            },
             snap: SnapshotThroughput {
                 cold_setup_wall: Duration::from_millis(800),
                 restore_wall: Duration::from_millis(100),
@@ -554,6 +593,7 @@ mod tests {
         assert!((r.merkle.lanes_speedup() - 2.0).abs() < 1e-9);
         assert!((r.merkle.verify_speedup() - 2.0).abs() < 1e-9);
         assert!((r.merkle.persist_speedup() - 1.5).abs() < 1e-9);
+        assert!((r.ecc.speedup() - 6.0).abs() < 1e-9);
         assert!((r.snap.speedup() - 8.0).abs() < 1e-9);
         assert!((r.engine_speedup() - 3.0).abs() < 1e-9);
         assert_eq!(r.cells[0].sim_lines_per_sec(), 2000.0);
@@ -562,7 +602,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let json = sample_report().to_json();
-        assert!(json.contains("\"schema\": \"fsencr-bench-harness/5\""));
+        assert!(json.contains("\"schema\": \"fsencr-bench-harness/6\""));
         assert!(json.contains("\"line_hashes_per_sec\""));
         assert!(json.contains("\"cached_pads_per_sec\""));
         assert!(json.contains("\"memo_digests_per_sec\""));
@@ -572,6 +612,7 @@ mod tests {
         assert!(json.contains("\"lane_digests_per_sec\""));
         assert!(json.contains("\"batched_verifies_per_sec\""));
         assert!(json.contains("\"batched_persists_per_sec\""));
+        assert!(json.contains("\"quad_tags_per_sec\""));
         assert!(json.contains("\"cold_setup_wall_s\""));
         assert!(json.contains("\"snapshot_bytes\": 1048576"));
         assert!(json.contains("\\\"zipf\\\""), "quotes must be escaped: {json}");

@@ -12,10 +12,12 @@
 //!
 //! The batched [`fsencr_secmem`] climb planner uses [`digest8_lines4`]
 //! for sibling digests; odd remainders fall back to the one-shot path.
+//! `EccStore` hashes its pending quads of Osiris tags with
+//! [`digest8_line_tails4`].
 //! Both entry points are cross-validated against `sha256_line` /
 //! `digest8_line` in the tests, and the kernel is pure safe Rust.
 
-use crate::sha256::{H0, K, LINE_PAD_KW};
+use crate::sha256::{line_tail_block, H0, K, LINE_PAD_KW};
 
 /// One value per lane; all round arithmetic is lane-wise over this type.
 type Lanes = [u32; 4];
@@ -115,15 +117,29 @@ fn compress_line_pad4(state: &mut [Lanes; 8]) {
     }
 }
 
+/// The SHA-256 initial hash value on every lane.
+#[inline(always)]
+fn initial_state4() -> [Lanes; 8] {
+    H0.map(splat)
+}
+
 #[inline(always)]
 fn line_states4(lines: [&[u8; 64]; 4]) -> [Lanes; 8] {
-    let mut state = [splat(0); 8];
-    for (v, h) in H0.iter().enumerate() {
-        state[v] = splat(*h);
-    }
+    let mut state = initial_state4();
     compress_blocks4(&mut state, lines);
     compress_line_pad4(&mut state);
     state
+}
+
+/// The first two state words of each lane as its 8-byte digest prefix.
+#[inline(always)]
+fn digest8_of4(state: &[Lanes; 8]) -> [[u8; 8]; 4] {
+    let mut out = [[0u8; 8]; 4];
+    for l in 0..4 {
+        out[l][..4].copy_from_slice(&state[0][l].to_be_bytes());
+        out[l][4..].copy_from_slice(&state[1][l].to_be_bytes());
+    }
+    out
 }
 
 /// SHA-256 of four independent 64-byte lines at once. Lane `l` of the
@@ -143,19 +159,24 @@ pub fn sha256_lines4(lines: [&[u8; 64]; 4]) -> [[u8; 32]; 4] {
 /// Bonsai node-slot width. Lane `l` is bit-identical to
 /// `digest8_line(lines[l])`.
 pub fn digest8_lines4(lines: [&[u8; 64]; 4]) -> [[u8; 8]; 4] {
-    let state = line_states4(lines);
-    let mut out = [[0u8; 8]; 4];
-    for l in 0..4 {
-        out[l][..4].copy_from_slice(&state[0][l].to_be_bytes());
-        out[l][4..].copy_from_slice(&state[1][l].to_be_bytes());
-    }
-    out
+    digest8_of4(&line_states4(lines))
+}
+
+/// [`digest8_line_tail`](crate::digest8_line_tail) on four lanes: two
+/// fused four-lane compressions, the lines then their tail blocks. Lane
+/// `l` is bit-identical to `sha256(lines[l] ‖ tails[l].to_le_bytes())[..8]`.
+pub fn digest8_line_tails4(lines: [&[u8; 64]; 4], tails: [u64; 4]) -> [[u8; 8]; 4] {
+    let mut state = initial_state4();
+    compress_blocks4(&mut state, lines);
+    let [t0, t1, t2, t3] = tails.map(line_tail_block);
+    compress_blocks4(&mut state, [&t0, &t1, &t2, &t3]);
+    digest8_of4(&state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::{digest8_line, sha256_line};
+    use crate::sha256::{digest8_line, digest8_line_tail, sha256, sha256_line};
 
     fn pattern_lines() -> Vec<[u8; 64]> {
         // Same multiplicative PRNG pattern the one-shot fast-path test
@@ -220,5 +241,77 @@ mod tests {
         assert_eq!(got[1], got[2]);
         assert_eq!(got[2], got[3]);
         assert_eq!(got[0], sha256_line(&line));
+    }
+
+    /// Streaming reference for the ECC tag kernels.
+    fn tail_reference(line: &[u8; 64], tail: u64) -> [u8; 8] {
+        let mut msg = line.to_vec();
+        msg.extend_from_slice(&tail.to_le_bytes());
+        let mut out = [0u8; 8];
+        out.copy_from_slice(&sha256(&msg)[..8]);
+        out
+    }
+
+    /// Edge tails plus line addresses of the shapes the controller tags.
+    const TAILS: [u64; 6] = [0, u64::MAX, 0x40, 0x1000, 0x3f_ffc0, 0x8000_0000_0000_0040];
+
+    #[test]
+    fn line_tail_one_shot_matches_streaming() {
+        for (i, line) in pattern_lines().iter().enumerate() {
+            for tail in TAILS {
+                assert_eq!(
+                    digest8_line_tail(line, tail),
+                    tail_reference(line, tail),
+                    "line {i} tail {tail:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn line_tails4_lanes_match_streaming() {
+        let lines = pattern_lines();
+        for (q, quad) in lines.chunks_exact(4).enumerate() {
+            // Rotate the tail set across lanes so every lane sees every tail.
+            for shift in 0..TAILS.len() {
+                let tails: [u64; 4] = std::array::from_fn(|l| TAILS[(l + shift + q) % TAILS.len()]);
+                let got = digest8_line_tails4([&quad[0], &quad[1], &quad[2], &quad[3]], tails);
+                for l in 0..4 {
+                    let want = tail_reference(&quad[l], tails[l]);
+                    assert_eq!(got[l], want, "quad {q} lane {l}");
+                    let one_shot = digest8_line_tail(&quad[l], tails[l]);
+                    assert_eq!(one_shot, want, "quad {q} lane {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_tails4_lanes_are_independent() {
+        let lines = pattern_lines();
+        let quad = [&lines[0], &lines[1], &lines[2], &lines[3]];
+        let tails = [0x40, 0x80, 0xc0, 0x100];
+        let base = digest8_line_tails4(quad, tails);
+        for hot in 0..4 {
+            // Perturb only lane `hot`'s line, then only its tail.
+            let mut flipped = *quad[hot];
+            flipped[33] ^= 0x01;
+            let mut lines_hot = quad;
+            lines_hot[hot] = &flipped;
+            let mut tails_hot = tails;
+            tails_hot[hot] ^= 1 << 40;
+            for got in [
+                digest8_line_tails4(lines_hot, tails),
+                digest8_line_tails4(quad, tails_hot),
+            ] {
+                for l in 0..4 {
+                    if l == hot {
+                        assert_ne!(got[l], base[l], "lane {hot} must change");
+                    } else {
+                        assert_eq!(got[l], base[l], "lane {l} moved when lane {hot} changed");
+                    }
+                }
+            }
+        }
     }
 }

@@ -94,12 +94,18 @@ impl Sha256 {
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // `update` compresses a full buffer at once, so at least one
+        // byte is free for the 0x80 terminator.
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            // No room left for the length: it spills into one more block.
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        // Length goes directly into the buffer to avoid recounting.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -312,6 +318,32 @@ pub fn digest8_line(line: &[u8; 64]) -> [u8; 8] {
     out
 }
 
+/// The final block of a 72-byte message `line ‖ tail.to_le_bytes()`:
+/// the eight tail bytes, `0x80`, zeros, then the 576-bit length.
+#[inline(always)]
+pub(crate) fn line_tail_block(tail: u64) -> [u8; 64] {
+    let mut b = [0u8; 64];
+    b[..8].copy_from_slice(&tail.to_le_bytes());
+    b[8] = 0x80;
+    b[56..].copy_from_slice(&576u64.to_be_bytes());
+    b
+}
+
+/// First 8 bytes of SHA-256 over a 64-byte line followed by a
+/// little-endian `u64` tail (the Osiris ECC tag binds a line's plaintext
+/// to its address this way): two fused compressions, the data block
+/// then the tail block. Bit-identical to
+/// `sha256(line ‖ tail.to_le_bytes())[..8]`.
+pub fn digest8_line_tail(line: &[u8; 64], tail: u64) -> [u8; 8] {
+    let mut state = H0;
+    compress_block_fused(&mut state, line);
+    compress_block_fused(&mut state, &line_tail_block(tail));
+    let mut out = [0u8; 8];
+    out[..4].copy_from_slice(&state[0].to_be_bytes());
+    out[4..].copy_from_slice(&state[1].to_be_bytes());
+    out
+}
+
 /// One-shot SHA-256.
 ///
 /// # Examples
@@ -417,6 +449,35 @@ mod tests {
         assert_eq!(LINE_PAD_SCHEDULE, schedule(&LINE_PAD_BLOCK));
         assert_eq!(LINE_PAD_BLOCK[0], 0x80);
         assert_eq!(&LINE_PAD_BLOCK[56..], &512u64.to_be_bytes());
+    }
+
+    /// Textbook FIPS 180-4 padding, built independently of `finalize`:
+    /// `0x80`, zeros up to 56 mod 64, then the 64-bit bit length.
+    fn naive_padded(data: &[u8]) -> Vec<u8> {
+        let mut m = data.to_vec();
+        m.push(0x80);
+        while m.len() % 64 != 56 {
+            m.push(0);
+        }
+        m.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        m
+    }
+
+    #[test]
+    fn finalize_matches_naive_padding_for_every_length() {
+        let data: Vec<u8> = (0..200u16).map(|i| (i * 7 % 251) as u8).collect();
+        for len in 0..=data.len() {
+            let padded = naive_padded(&data[..len]);
+            let mut state = H0;
+            for block in padded.chunks_exact(64) {
+                compress_scheduled(&mut state, &schedule(block.try_into().unwrap()));
+            }
+            let mut reference = [0u8; 32];
+            for (i, word) in state.iter().enumerate() {
+                reference[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            assert_eq!(sha256(&data[..len]), reference, "len {len}");
+        }
     }
 
     #[test]

@@ -35,8 +35,12 @@ cargo test -q -p fsencr --test batch_equivalence
 cargo test -q -p fsencr-workloads --test batch_parity
 finish
 
-begin "batched Merkle engine: lane kernel cross-validation + region/rebuild equivalence"
+begin "batched Merkle engine: lane kernel cross-validation + region/rebuild equivalence + ECC tag quads"
+# `lanes` covers the Merkle and ECC-tag (`line_tail`) lane kernels;
+# `sha256` covers the one-shot paths and streaming padding.
 cargo test -q -p fsencr-crypto --lib lanes
+cargo test -q -p fsencr-crypto --lib sha256
+cargo test -q -p fsencr-secmem --lib ecc
 cargo test -q -p fsencr-secmem --lib batch
 cargo test -q -p fsencr-secmem --lib verify_lines
 cargo test -q -p fsencr-secmem --lib parallel_rebuild
